@@ -1,9 +1,8 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
-//! cover-solver choice, the `V_max` reduction, and realization budgets.
+//! Ablation benches for three design choices: cover-solver choice, the
+//! `V_max` reduction, and realization budgets.
 //!
 //! These quantify the engineering trade-offs rather than reproduce a
-//! paper artifact; results feed the "Further Discussion" analysis in
-//! EXPERIMENTS.md.
+//! paper artifact.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use raf_core::{RafAlgorithm, RafConfig, RealizationBudget, SolverKind};

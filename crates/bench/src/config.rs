@@ -4,8 +4,8 @@ use raf_datasets::Dataset;
 use std::path::PathBuf;
 
 /// Knobs shared by every experiment, settable through `AF_*` environment
-/// variables (defaults keep a full regeneration laptop-tractable; see
-/// EXPERIMENTS.md for the paper-scale settings).
+/// variables (defaults keep a full regeneration laptop-tractable; each
+/// knob's doc gives its default).
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     /// Graph scale relative to Table I sizes (`AF_SCALE`, default 0.02;

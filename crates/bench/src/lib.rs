@@ -13,8 +13,9 @@
 //! All binaries honour the same environment knobs (see
 //! [`ExperimentConfig::from_env`]): `AF_SCALE`, `AF_PAIRS`,
 //! `AF_EVAL_SAMPLES`, `AF_BUDGET`, `AF_SEED`, `AF_THREADS`,
-//! `AF_DATASETS`. Paper-scale settings and the scaled defaults are
-//! documented in EXPERIMENTS.md.
+//! `AF_DATASETS`. The scaled defaults are documented on
+//! [`ExperimentConfig`]; the README's "Datasets & experiments" section
+//! covers the stand-in datasets and the `raf experiment` sweep.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -38,7 +38,6 @@ use raf_cover::{ChlamtacPortfolio, CoverInstance, CoverSolution, MpuSolver};
 use raf_datasets::synthetic::{generate_topology, Topology};
 use raf_datasets::Dataset;
 use raf_graph::{generators, CsrGraph, NodeId, RelabelOrder, SocialGraph, WeightScheme};
-use raf_model::frontcode::FrontCodedPool;
 use raf_model::reverse::WalkOutcome;
 use raf_model::sampler::{PathPool, SampleRequest, WalkKernel};
 use raf_model::FriendingInstance;
@@ -442,9 +441,6 @@ pub struct SamplingBenchReport {
     pub kernel_lanes: usize,
     /// Heap bytes of the sampled pool's flat arena.
     pub pool_arena_bytes: usize,
-    /// Heap bytes of the same pool front-coded (see
-    /// [`raf_model::frontcode::FrontCodedPool`]).
-    pub pool_frontcoded_bytes: usize,
     /// Union cost of the legacy solve.
     pub legacy_cost: usize,
     /// Union cost of the arena solve.
@@ -574,7 +570,7 @@ impl SamplingBenchReport {
             ));
         }
         format!(
-            "{{\n  \"scenario\": \"{}\",\n  \"profile\": \"{}\",\n  \"graph\": {{ \"kind\": \"{}\", \"nodes\": {}, \"edges\": {}, \"s\": {}, \"t\": {} }},\n  \"config\": {{ \"walks\": {}, \"seed\": {}, \"threads\": {}, \"reps\": {}, \"beta\": {}, \"kernel\": \"{}\" }},\n  \"pool\": {{ \"type1\": {}, \"unique_paths\": {}, \"dedup_factor\": {:.3}, \"pmax_estimate\": {:.6}, \"cover_p\": {}, \"arena_bytes\": {}, \"frontcoded_bytes\": {} }},\n  \"legacy_ns\": {{ \"sample\": {}, \"solve\": {}, \"total\": {} }},\n  \"arena_ns\": {{ \"sample\": {}, \"solve\": {}, \"total\": {} }},\n{relabeled}  \"cost\": {{ \"legacy\": {}, \"arena\": {} }},\n  \"speedup\": {:.3}\n}}\n",
+            "{{\n  \"scenario\": \"{}\",\n  \"profile\": \"{}\",\n  \"graph\": {{ \"kind\": \"{}\", \"nodes\": {}, \"edges\": {}, \"s\": {}, \"t\": {} }},\n  \"config\": {{ \"walks\": {}, \"seed\": {}, \"threads\": {}, \"reps\": {}, \"beta\": {}, \"kernel\": \"{}\" }},\n  \"pool\": {{ \"type1\": {}, \"unique_paths\": {}, \"dedup_factor\": {:.3}, \"pmax_estimate\": {:.6}, \"cover_p\": {}, \"arena_bytes\": {} }},\n  \"legacy_ns\": {{ \"sample\": {}, \"solve\": {}, \"total\": {} }},\n  \"arena_ns\": {{ \"sample\": {}, \"solve\": {}, \"total\": {} }},\n{relabeled}  \"cost\": {{ \"legacy\": {}, \"arena\": {} }},\n  \"speedup\": {:.3}\n}}\n",
             self.config.scenario().name(),
             self.config.profile,
             self.config.workload.kind_name(),
@@ -594,7 +590,6 @@ impl SamplingBenchReport {
             self.pmax_estimate,
             self.cover_p,
             self.pool_arena_bytes,
-            self.pool_frontcoded_bytes,
             self.legacy_sample_ns,
             self.legacy_solve_ns,
             self.legacy_sample_ns + self.legacy_solve_ns,
@@ -966,7 +961,6 @@ pub fn run_sampling_bench(config: SamplingBenchConfig) -> SamplingBenchReport {
     let mut pmax_estimate = 0.0f64;
     let mut cover_p = 0usize;
     let mut pool_arena_bytes = 0usize;
-    let mut pool_frontcoded_bytes = 0usize;
     for _ in 0..config.reps.max(1) {
         let start = Instant::now();
         let pool =
@@ -977,7 +971,6 @@ pub fn run_sampling_bench(config: SamplingBenchConfig) -> SamplingBenchReport {
         pmax_estimate = pool.pmax_estimate();
         cover_p = raf_cover::cover_requirement(config.beta, type1);
         pool_arena_bytes = pool.heap_bytes();
-        pool_frontcoded_bytes = FrontCodedPool::from_pool(&pool).heap_bytes();
         let start = Instant::now();
         let sol = arena_solve(n, pool, config.beta);
         arena_solve_ns = arena_solve_ns.min(start.elapsed().as_nanos());
@@ -1102,7 +1095,6 @@ pub fn run_sampling_bench(config: SamplingBenchConfig) -> SamplingBenchReport {
         kernel_lockstep_ns,
         kernel_lanes,
         pool_arena_bytes,
-        pool_frontcoded_bytes,
         legacy_cost,
         arena_cost,
     }
@@ -1327,7 +1319,7 @@ mod tests {
         assert!(value.path_f64(&["kernel_ns", "scalar"]).unwrap() > 0.0);
         assert!(value.path_f64(&["kernel_ns", "lockstep"]).unwrap() > 0.0);
         assert_eq!(value.path_f64(&["kernel_ns", "lanes"]), Some(16.0));
-        assert!(value.path_f64(&["pool", "frontcoded_bytes"]).unwrap() > 0.0);
+        assert!(value.path_f64(&["pool", "arena_bytes"]).unwrap() > 0.0);
         assert_eq!(
             value.get("graph").unwrap().get("kind").and_then(crate::history::JsonValue::as_str),
             Some("wiki")
@@ -1409,10 +1401,9 @@ mod tests {
         assert_eq!(value.get("profile").and_then(crate::history::JsonValue::as_str), Some("full"));
         assert!(value.path_f64(&["arena_ns", "total"]).unwrap() > 0.0);
         // Synthetic cells skip the kernel bake-off but always record the
-        // arena-vs-front-coded pool footprint.
+        // pool footprint.
         assert!(!report.has_kernels(), "synthetic cells skip the kernel bake-off");
         assert!(!json.contains("\"kernel_ns\""));
-        assert!(report.pool_arena_bytes > report.pool_frontcoded_bytes);
         assert!(value.path_f64(&["pool", "arena_bytes"]).unwrap() > 0.0);
     }
 

@@ -74,12 +74,13 @@ pub fn greedy_max_coverage_paths(
         return InvitationSet::empty(n);
     }
     // The arena pool is already deduplicated with multiplicities and in
-    // canonical (lexicographic) order, which `from_path_pool_ref`
-    // preserves — so the allocator's scan order, density tie-breaks, and
-    // pruning reproduce the original single-target greedy exactly. This
+    // canonical (lexicographic) order, which the cover instance shares
+    // as-is (a view over the pool's arena, not a copy) — so the
+    // allocator's scan order, density tie-breaks, and pruning reproduce
+    // the original single-target greedy exactly. This
     // is the `k = 1` case of the campaign allocator: one shared machine
     // for both pipelines keeps them bit-identical by construction.
-    let cover = raf_cover::CoverInstance::from_path_pool_ref(n, pool)
+    let cover = raf_cover::CoverInstance::from_path_pool(n, pool.clone())
         .expect("pool node ids fit the instance's node range");
     let target =
         raf_cover::BudgetTarget { sets: &cover, total_samples: pool.total_samples().max(1) };

@@ -14,7 +14,7 @@
 //! `ε1 → 0`) as `ε1` grows, so a unique root exists whenever
 //! `0 < ε < α`; we find it by bisection.
 //!
-//! Paper errata handled here (see DESIGN.md §5): the printed eq. (17)
+//! Paper errata handled here: the printed eq. (17)
 //! swaps `α` and `ε1` relative to eq. (13) — we solve the consistent
 //! system — and for large `n` the coupling `ε0 = n·ε1` can push `ε0`
 //! beyond 1, where eq. (10) becomes vacuous and eq. (16) ill-defined, so

@@ -1,15 +1,15 @@
 //! MpU/MSC problem instances.
 
 use crate::CoverError;
-use raf_model::sampler::PathPool;
-use serde::{Deserialize, Serialize};
+use raf_model::sampler::{PathArena, PathPool};
+use std::sync::Arc;
 
 /// A (weighted) Minimum p-Union instance: a ground set `0..universe` and
 /// a family of subsets, each carrying a positive integer *weight* (its
 /// multiplicity in the original multiset family). Sets are stored in a
-/// flat CSR arena — one `Vec<u32>` of elements plus an offset table — so
-/// building an instance from a sampled [`PathPool`] is a pure move with
-/// no per-set allocation.
+/// flat CSR [`PathArena`] — one `Vec<u32>` of elements plus an offset
+/// table — and an instance built from a sampled [`PathPool`] shares the
+/// pool's `Arc`-held arena: no copy, no per-set allocation.
 ///
 /// In the RAF pipeline, each set is a sampled backward path `t(g)` (its
 /// weight = how many sampled walks produced it) and the ground set is the
@@ -28,15 +28,12 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoverInstance {
     universe: usize,
-    /// Concatenated elements; set `i` is `elems[offsets[i]..offsets[i+1]]`.
-    elems: Vec<u32>,
-    offsets: Vec<u32>,
-    /// Per-set weights; `None` means every weight is 1 (the unweighted
-    /// case built by [`CoverInstance::new`]).
-    weights: Option<Vec<u32>>,
+    /// The set family: set `i` is `sets.path(i)`, of weight
+    /// `sets.multiplicities()[i]` (all 1 for [`CoverInstance::new`]).
+    sets: Arc<PathArena>,
     /// Σ weights — the size `|U|` of the underlying multiset family.
     total_weight: usize,
 }
@@ -66,13 +63,14 @@ impl CoverInstance {
             assert!(elems.len() <= u32::MAX as usize, "set family overflows u32 offsets");
             offsets.push(elems.len() as u32);
         }
-        Ok(CoverInstance { universe, elems, offsets, weights: None, total_weight: m })
+        let sets = Arc::new(PathArena::new(elems, offsets, vec![1; m]));
+        Ok(CoverInstance { universe, sets, total_weight: m })
     }
 
     /// Builds a weighted instance directly from a sampled [`PathPool`] —
-    /// the zero-copy Alg. 3 handoff. The pool's flat arena becomes the
-    /// instance storage verbatim: no per-set allocation, no re-sort, no
-    /// copy. Set `i` is the pool's unique path `i` (elements in walk
+    /// the zero-copy Alg. 3 handoff. The instance keeps the pool's shared
+    /// arena as its set family: no copy, no per-set allocation, no
+    /// re-sort. Set `i` is the pool's unique path `i` (elements in walk
     /// order — distinct by the walk's cycle check, but *not* sorted) with
     /// weight = the path's multiplicity.
     ///
@@ -81,44 +79,21 @@ impl CoverInstance {
     /// Returns [`CoverError::ElementOutOfRange`] when a path mentions a
     /// node `≥ universe`.
     pub fn from_path_pool(universe: usize, pool: PathPool) -> Result<Self, CoverError> {
-        let (elems, offsets, weights) = pool.into_flat_parts();
-        if let Some(&max) = elems.iter().max() {
+        let sets = Arc::clone(pool.arena());
+        if let Some(&max) = sets.nodes().iter().max() {
             if max as usize >= universe {
                 return Err(CoverError::ElementOutOfRange { element: max, universe });
             }
         }
-        let total_weight = weights.iter().map(|&w| w as usize).sum();
-        Ok(CoverInstance { universe, elems, offsets, weights: Some(weights), total_weight })
+        let total_weight = sets.multiplicities().iter().map(|&w| w as usize).sum();
+        Ok(CoverInstance { universe, sets, total_weight })
     }
 
-    /// Builds a weighted instance from a *borrowed* [`PathPool`] — the
-    /// same layout as [`CoverInstance::from_path_pool`] (paths in walk
-    /// order, weight = multiplicity, canonical pool order preserved) but
-    /// copying the arena instead of consuming it. Use this when the pool
-    /// must stay available for post-solve evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoverError::ElementOutOfRange`] when a path mentions a
-    /// node `≥ universe`.
-    pub fn from_path_pool_ref(universe: usize, pool: &PathPool) -> Result<Self, CoverError> {
-        let mut elems = Vec::new();
-        let mut offsets = vec![0u32];
-        let mut weights = Vec::new();
-        let mut total_weight = 0usize;
-        for (path, mult) in pool.iter() {
-            if let Some(&max) = path.iter().max() {
-                if max as usize >= universe {
-                    return Err(CoverError::ElementOutOfRange { element: max, universe });
-                }
-            }
-            elems.extend_from_slice(path);
-            assert!(elems.len() <= u32::MAX as usize, "set family overflows u32 offsets");
-            offsets.push(elems.len() as u32);
-            weights.push(mult);
-            total_weight += mult as usize;
-        }
-        Ok(CoverInstance { universe, elems, offsets, weights: Some(weights), total_weight })
+    /// Whether this instance's set family is `pool`'s own arena (built by
+    /// [`from_path_pool`](Self::from_path_pool) from that pool or a clone
+    /// of it), as opposed to an equal copy.
+    pub fn is_view_of(&self, pool: &PathPool) -> bool {
+        Arc::ptr_eq(&self.sets, pool.arena())
     }
 
     /// Ground-set size.
@@ -127,19 +102,10 @@ impl CoverInstance {
         self.universe
     }
 
-    /// Logical heap footprint of the instance's arena in bytes (lengths,
-    /// not capacities, of the flat tables) — the counterpart of
-    /// `PathPool::heap_bytes` for byte-budgeted caches that keep the
-    /// built cover instance resident next to the pool it came from.
-    pub fn heap_bytes(&self) -> usize {
-        (self.elems.len() + self.offsets.len() + self.weights.as_ref().map_or(0, Vec::len))
-            * std::mem::size_of::<u32>()
-    }
-
     /// Number of distinct sets `m` in the family.
     #[inline]
     pub fn set_count(&self) -> usize {
-        self.offsets.len() - 1
+        self.sets.len()
     }
 
     /// The weight (multiplicity) of set `i`.
@@ -149,13 +115,7 @@ impl CoverInstance {
     /// Panics if `i` is out of range.
     #[inline]
     pub fn weight(&self, i: usize) -> usize {
-        match &self.weights {
-            Some(w) => w[i] as usize,
-            None => {
-                assert!(i < self.set_count(), "set index {i} out of range");
-                1
-            }
-        }
+        self.sets.multiplicities()[i] as usize
     }
 
     /// Σ weights: the size `|U|` of the underlying multiset family (equal
@@ -174,7 +134,7 @@ impl CoverInstance {
     /// Panics if `i` is out of range.
     #[inline]
     pub fn set(&self, i: usize) -> &[u32] {
-        &self.elems[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        self.sets.path(i)
     }
 
     /// Iterates over all sets in index order.
@@ -269,7 +229,8 @@ mod tests {
         let pool = SampleRequest::new(4_000).seed(9).run(&fi);
         let type1 = pool.type1_count();
         assert!(type1 > 0);
-        let inst = CoverInstance::from_path_pool(5, pool).unwrap();
+        let inst = CoverInstance::from_path_pool(5, pool.clone()).unwrap();
+        assert!(inst.is_view_of(&pool), "the instance shares the pool's arena");
         assert_eq!(inst.set_count(), 1);
         assert_eq!(inst.set(0), &[4, 3, 2]); // walk order, not sorted
         assert_eq!(inst.weight(0), type1);

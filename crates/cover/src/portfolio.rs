@@ -5,7 +5,7 @@ use crate::{
 };
 
 /// The portfolio solver used as the paper's "Chlamtáč algorithm" stand-in
-/// (DESIGN.md §4): runs [`GreedyMarginal`], [`SmallestSets`], and
+/// (see the crate docs): runs [`GreedyMarginal`], [`SmallestSets`], and
 /// [`AnchorSolver`] and returns the cheapest feasible solution.
 ///
 /// The paper's analysis consumes only the interface guarantee "a feasible

@@ -16,7 +16,7 @@ use std::sync::Arc;
 pub enum DatasetSource {
     /// A real SNAP edge list found on disk.
     Real,
-    /// The calibrated synthetic stand-in (DESIGN.md §4).
+    /// The calibrated synthetic stand-in (see [`crate::synthetic`]).
     Synthetic,
 }
 

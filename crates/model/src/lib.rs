@@ -21,14 +21,13 @@
 //! * [`sampler`] — batched (optionally multi-threaded) reverse sampling
 //!   into the flat arena [`sampler::PathPool`]: the realization pool
 //!   `B_l` consumed by the RAF algorithm, stored CSR-style with
-//!   identical paths deduplicated under multiplicities;
+//!   identical paths deduplicated under multiplicities, in one immutable
+//!   `Arc`-shared [`sampler::PathArena`] that the cover instance views
+//!   instead of copying;
 //! * [`intern`] — the streaming hash interner behind the pool: walks are
 //!   deduplicated the moment they are sampled (open addressing over a
 //!   vendored FxHash-style hasher), replacing the old sort-based
 //!   assembly;
-//! * [`frontcode`] — front-coded (prefix-interned) pool storage:
-//!   adjacent paths in the canonical order share prefixes, so cold
-//!   tiers can store the arena in a fraction of the bytes;
 //! * [`walk_index`] — the edge→walk side index over the arena (a second
 //!   CSR keyed by draw-site node), resolving which stored walks an edge
 //!   delta invalidates in time proportional to the affected walks.
@@ -38,7 +37,6 @@
 
 pub mod acceptance;
 pub mod bounds;
-pub mod frontcode;
 pub mod intern;
 pub mod pmax;
 pub mod process;
@@ -61,7 +59,8 @@ pub mod prelude {
     pub use crate::pmax::{estimate_pmax_dklr, estimate_pmax_fixed, PmaxEstimate};
     pub use crate::reverse::{sample_target_path, sample_walk_into, TargetPath, WalkOutcome};
     pub use crate::sampler::{
-        pair_seed, repair_pool, threads_from_env, PathPool, PoolRepair, SampleRequest, WalkKernel,
+        pair_seed, repair_pool, threads_from_env, PathArena, PathPool, PoolRepair, SampleRequest,
+        WalkKernel,
     };
     pub use crate::walk_index::EdgeWalkIndex;
     pub use crate::{FriendingInstance, InvitationSet, ModelError};

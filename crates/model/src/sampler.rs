@@ -34,6 +34,7 @@ use crate::FriendingInstance;
 use raf_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Below this many walks, a [`SampleRequest`] without an explicit lane
 /// override always runs the sequential sampler regardless of the
@@ -123,16 +124,21 @@ impl SampleControl<'_> {
 /// and the type-0 walks tallied by outcome.
 ///
 /// Layout: unique path `i` occupies `nodes[offsets[i]..offsets[i+1]]`
-/// (walk order: `t` first, then each selected predecessor) and was
-/// sampled `multiplicity[i]` times. Unique paths are sorted
-/// lexicographically by node sequence, so pool contents are canonical for
-/// a fixed sampled multiset of walks. All counting queries —
+/// of the [`PathArena`] (walk order: `t` first, then each selected
+/// predecessor) and was sampled `multiplicity[i]` times. Unique paths are
+/// sorted lexicographically by node sequence, so pool contents are
+/// canonical for a fixed sampled multiset of walks. All counting queries —
 /// [`type1_count`](PathPool::type1_count),
 /// [`coverage`](PathPool::coverage),
 /// [`covered_count`](PathPool::covered_count),
 /// [`pmax_estimate`](PathPool::pmax_estimate) — are multiplicity-weighted
 /// and therefore exactly equal to what a duplicated per-`Vec` pool would
 /// report.
+///
+/// The arena is immutable and `Arc`-shared: cloning a pool costs a
+/// reference-count bump, and the cover instance built from a pool
+/// (`raf_cover::CoverInstance::from_path_pool`) is a view over the same
+/// bytes rather than a copy.
 ///
 /// Path node ids are always in the *original* id space of the instance
 /// that sampled the pool: on relabeled snapshots the assembler maps the
@@ -141,12 +147,8 @@ impl SampleControl<'_> {
 /// snapshots of the same graph are bit-identical.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathPool {
-    /// Concatenated node ids of the unique type-1 paths.
-    nodes: Vec<u32>,
-    /// CSR offsets into `nodes`; `offsets.len() == unique_count() + 1`.
-    offsets: Vec<u32>,
-    /// How many sampled walks produced each unique path.
-    multiplicity: Vec<u32>,
+    /// The unique type-1 paths and their multiplicities.
+    arena: Arc<PathArena>,
     /// Number of walks sampled in total (`l`).
     total_samples: u64,
     /// Σ multiplicity: the `|B¹_l|` of the paper.
@@ -157,26 +159,94 @@ pub struct PathPool {
     cycles: u64,
 }
 
+/// A weighted family of `u32` sequences in CSR form: sequence `i` is
+/// `nodes[offsets[i]..offsets[i + 1]]` with weight `multiplicity[i]`.
+/// The storage shared by a [`PathPool`] and the cover instance built
+/// from it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PathArena {
+    nodes: Vec<u32>,
+    offsets: Vec<u32>,
+    multiplicity: Vec<u32>,
+}
+
+impl PathArena {
+    /// Wraps CSR tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tables are inconsistent: `offsets` must start at 0,
+    /// never decrease, end at `nodes.len()`, and hold one more entry than
+    /// `multiplicity`.
+    pub fn new(nodes: Vec<u32>, offsets: Vec<u32>, multiplicity: Vec<u32>) -> Self {
+        assert_eq!(offsets.len(), multiplicity.len() + 1, "one offset per sequence plus one");
+        assert_eq!(offsets[0], 0, "offsets start at 0");
+        assert_eq!(*offsets.last().unwrap() as usize, nodes.len(), "offsets end at nodes.len()");
+        assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets never decrease");
+        PathArena { nodes, offsets, multiplicity }
+    }
+
+    /// Number of sequences.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.multiplicity.len()
+    }
+
+    /// Whether the family has no sequence.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.multiplicity.is_empty()
+    }
+
+    /// The concatenated node ids.
+    #[inline]
+    pub fn nodes(&self) -> &[u32] {
+        &self.nodes
+    }
+
+    /// Sequence `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn path(&self, i: usize) -> &[u32] {
+        &self.nodes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The per-sequence weights.
+    #[inline]
+    pub fn multiplicities(&self) -> &[u32] {
+        &self.multiplicity
+    }
+
+    /// Logical heap footprint in bytes: the *length* (not capacity) of
+    /// the three tables. Deterministic for a fixed content regardless of
+    /// allocator growth history, which is what a byte-budgeted cache
+    /// needs for reproducible eviction decisions.
+    pub fn heap_bytes(&self) -> usize {
+        (self.nodes.len() + self.offsets.len() + self.multiplicity.len())
+            * std::mem::size_of::<u32>()
+    }
+}
+
 impl PathPool {
     /// An empty pool that observed `total_samples` walks, none type-1.
     fn empty(total_samples: u64, dangling: u64, cycles: u64) -> Self {
-        PathPool {
-            nodes: Vec::new(),
-            offsets: vec![0],
-            multiplicity: Vec::new(),
+        PathPool::from_canonical_parts(
+            Vec::new(),
+            vec![0],
+            Vec::new(),
             total_samples,
-            type1_total: 0,
             dangling,
             cycles,
-        }
+        )
     }
 
-    /// Reconstitutes a pool from already-canonical flat parts plus its
-    /// walk tallies — the inverse of [`into_flat_parts`](Self::into_flat_parts)
-    /// used by the repair path and the front-coded decoder. The caller
-    /// guarantees the parts are in canonical lexicographic order with
-    /// consistent offsets; debug builds re-check the invariants.
-    pub(crate) fn from_canonical_parts(
+    /// Builds a pool from already-canonical flat parts plus its walk
+    /// tallies. The caller guarantees the parts are in canonical
+    /// lexicographic order; debug builds re-check the tally invariant.
+    fn from_canonical_parts(
         nodes: Vec<u32>,
         offsets: Vec<u32>,
         multiplicity: Vec<u32>,
@@ -184,12 +254,10 @@ impl PathPool {
         dangling: u64,
         cycles: u64,
     ) -> Self {
-        debug_assert_eq!(offsets.len(), multiplicity.len() + 1);
-        debug_assert_eq!(*offsets.last().unwrap() as usize, nodes.len());
-        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
         let type1_total = multiplicity.iter().map(|&m| u64::from(m)).sum();
         debug_assert!(type1_total + dangling + cycles <= total_samples || total_samples == 0);
-        PathPool { nodes, offsets, multiplicity, total_samples, type1_total, dangling, cycles }
+        let arena = Arc::new(PathArena::new(nodes, offsets, multiplicity));
+        PathPool { arena, total_samples, type1_total, dangling, cycles }
     }
 
     /// Assembles a pool from per-thread walk shards, merging their
@@ -218,18 +286,24 @@ impl PathPool {
         if merged.unique_count() == 0 {
             return PathPool::empty(total_samples, dangling, cycles);
         }
-        let type1_total = merged.interned_total();
         let (nodes, offsets, multiplicity) = match original_map {
             None => merged.into_canonical_parts(),
             Some(map) => merged.into_canonical_parts_mapped(map),
         };
-        PathPool { nodes, offsets, multiplicity, total_samples, type1_total, dangling, cycles }
+        PathPool::from_canonical_parts(
+            nodes,
+            offsets,
+            multiplicity,
+            total_samples,
+            dangling,
+            cycles,
+        )
     }
 
     /// Number of distinct type-1 paths stored in the arena.
     #[inline]
     pub fn unique_count(&self) -> usize {
-        self.multiplicity.len()
+        self.arena.len()
     }
 
     /// `|B¹_l|`: the number of type-1 realizations in the pool, counting
@@ -266,7 +340,7 @@ impl PathPool {
     /// Panics if `i >= unique_count()`.
     #[inline]
     pub fn path(&self, i: usize) -> &[u32] {
-        &self.nodes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        self.arena.path(i)
     }
 
     /// How many sampled walks produced unique path `i`.
@@ -276,13 +350,13 @@ impl PathPool {
     /// Panics if `i >= unique_count()`.
     #[inline]
     pub fn multiplicity(&self, i: usize) -> u32 {
-        self.multiplicity[i]
+        self.arena.multiplicity[i]
     }
 
     /// Iterates over `(path, multiplicity)` for every unique path, in the
     /// pool's canonical (lexicographic) order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u32], u32)> + '_ {
-        (0..self.unique_count()).map(|i| (self.path(i), self.multiplicity[i]))
+        (0..self.unique_count()).map(|i| (self.path(i), self.multiplicity(i)))
     }
 
     /// The pool's implied `p_max` estimate `|B¹_l| / l`.
@@ -322,20 +396,47 @@ impl PathPool {
         self.covered_count(invitations) as f64 / self.total_samples as f64
     }
 
-    /// Decomposes the pool into its flat parts `(nodes, offsets,
-    /// multiplicity)` — the zero-copy handoff used by
-    /// `raf_cover::CoverInstance::from_path_pool`.
-    pub fn into_flat_parts(self) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-        (self.nodes, self.offsets, self.multiplicity)
+    /// The pool's shared arena — the storage
+    /// `raf_cover::CoverInstance::from_path_pool` keeps as its set family.
+    #[inline]
+    pub fn arena(&self) -> &Arc<PathArena> {
+        &self.arena
     }
 
-    /// Logical heap footprint of the pool's arena in bytes: the *length*
-    /// (not capacity) of the three flat tables. Deterministic for a fixed
-    /// pool content regardless of allocator growth history, which is what
-    /// a byte-budgeted cache needs for reproducible eviction decisions.
+    /// Logical heap footprint of the pool's arena in bytes (see
+    /// [`PathArena::heap_bytes`]). Clones share the arena, so this is
+    /// the cost of the content, however many handles hold it.
     pub fn heap_bytes(&self) -> usize {
-        (self.nodes.len() + self.offsets.len() + self.multiplicity.len())
-            * std::mem::size_of::<u32>()
+        self.arena.heap_bytes()
+    }
+
+    /// A word-wise FxHash over the whole arena (nodes, offsets,
+    /// multiplicities) and the walk tallies: the integrity stamp a cache
+    /// checks before answering from the pool. O(pool) — the same order
+    /// as the cover solve it guards — and any change to a stored node id,
+    /// weight, boundary or tally changes it (up to hash collisions).
+    pub fn content_hash(&self) -> u64 {
+        let a = &*self.arena;
+        fxhash::hash64(&[
+            fxhash::hash_u32s(&a.nodes),
+            fxhash::hash_u32s(&a.offsets),
+            fxhash::hash_u32s(&a.multiplicity),
+            self.total_samples,
+            self.dangling,
+            self.cycles,
+        ])
+    }
+
+    /// A copy of the pool whose arena differs from this one in exactly
+    /// one node id (the last stored one, replaced by `(id + 1) % universe`
+    /// for the pool's node count `universe ≥ 2`), every table length and
+    /// tally unchanged — the content fault an integrity check must catch.
+    /// `None` when no path is stored.
+    pub fn with_one_node_changed(&self, universe: usize) -> Option<PathPool> {
+        let last = self.arena.nodes.len().checked_sub(1)?;
+        let mut arena = PathArena::clone(&self.arena);
+        arena.nodes[last] = ((arena.nodes[last] as usize + 1) % universe) as u32;
+        Some(PathPool { arena: Arc::new(arena), ..self.clone() })
     }
 }
 
@@ -707,15 +808,18 @@ pub enum PoolRepair {
 /// Under degree-derived weight schemes churn on `{u, v}` renormalizes
 /// the whole in-weight distribution at both endpoints, so exactly the
 /// stored walks that *drew a step* at a touched endpoint are stale —
-/// resolved through the [`EdgeWalkIndex`] in time proportional to the
-/// affected walks. Those paths are dropped and their multiplicity mass
+/// resolved through the
+/// [`EdgeWalkIndex`](crate::walk_index::EdgeWalkIndex) in time
+/// proportional to the affected walks. Those paths are dropped and their multiplicity mass
 /// is re-sampled on the post-delta `instance` through `template` (the
 /// entry's [`SampleRequest`] with its walk count replaced by the stale
 /// mass — the seed should be a *repair* seed derived from the pool seed
 /// and the delta serial, keeping the repaired pool a pure function of
 /// `(instance, walk history, seed, lanes)`). Kept paths and re-sampled
-/// paths merge through the interner and re-canonicalize, so two pools
-/// that agree as multisets still agree byte-for-byte after repair.
+/// paths are both in canonical order, so one sorted merge (equal paths
+/// summing their multiplicities) yields the canonical repaired arena:
+/// two pools that agree as multisets still agree byte-for-byte after
+/// repair.
 ///
 /// Conservation: `total_samples` is unchanged; the stale type-1 mass
 /// redistributes into the mini-pool's type-1/dangling/cycle tallies.
@@ -747,21 +851,15 @@ pub fn repair_pool(
     }
     let mini = template.with_walks(invalidation.mass).run(instance);
     debug_assert_eq!(mini.total_samples(), invalidation.mass);
-    let mut interner = PathInterner::new();
     let mut stale = invalidation.stale.iter().copied().peekable();
-    for i in 0..pool.unique_count() {
-        if stale.peek() == Some(&(i as u32)) {
+    let kept = (0..pool.unique_count()).filter(|&i| {
+        let dropped = stale.peek() == Some(&(i as u32));
+        if dropped {
             stale.next();
-            continue;
         }
-        interner.intern_copy(pool.path(i), pool.multiplicity(i));
-    }
-    for (path, mult) in mini.iter() {
-        interner.intern_copy(path, mult);
-    }
-    // Both inputs are already in original id space; canonicalization
-    // restores the lexicographic arena order over the merged set.
-    let (nodes, offsets, multiplicity) = interner.into_canonical_parts();
+        !dropped
+    });
+    let (nodes, offsets, multiplicity) = merge_canonical(pool, kept, &mini);
     let repaired = PathPool::from_canonical_parts(
         nodes,
         offsets,
@@ -780,6 +878,46 @@ pub fn repair_pool(
         stale_unique: invalidation.stale.len(),
         resampled: invalidation.mass,
     }
+}
+
+/// Merges the `kept` unique paths of `pool` with every unique path of
+/// `fresh` into canonical flat parts. Both sides are canonical (sorted by
+/// `[u32]::cmp`, which is the interner's canonical order) and distinct,
+/// so one linear merge suffices; a path present on both sides appears
+/// once with the summed multiplicity.
+fn merge_canonical(
+    pool: &PathPool,
+    kept: impl Iterator<Item = usize>,
+    fresh: &PathPool,
+) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    use std::cmp::Ordering;
+    let mut nodes = Vec::with_capacity(pool.arena.nodes.len() + fresh.arena.nodes.len());
+    let mut offsets = Vec::with_capacity(pool.unique_count() + fresh.unique_count() + 1);
+    let mut multiplicity = Vec::with_capacity(pool.unique_count() + fresh.unique_count());
+    offsets.push(0u32);
+    let mut left = kept.map(|i| (pool.path(i), pool.multiplicity(i))).peekable();
+    let mut right = fresh.iter().peekable();
+    loop {
+        let order = match (left.peek(), right.peek()) {
+            (None, None) => break,
+            (Some(a), Some(b)) => a.0.cmp(b.0),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+        };
+        let (path, mult) = match order {
+            Ordering::Less => left.next().unwrap(),
+            Ordering::Greater => right.next().unwrap(),
+            Ordering::Equal => {
+                let (path, a) = left.next().unwrap();
+                let (_, b) = right.next().unwrap();
+                (path, a.checked_add(b).expect("path multiplicity overflows u32"))
+            }
+        };
+        nodes.extend_from_slice(path);
+        offsets.push(u32::try_from(nodes.len()).expect("path arena overflows u32 offsets"));
+        multiplicity.push(mult);
+    }
+    (nodes, offsets, multiplicity)
 }
 
 /// Executes one OS thread's contiguous chunk of lanes under `kernel`.

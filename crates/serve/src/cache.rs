@@ -1,7 +1,6 @@
 //! The byte-budgeted LRU pool cache behind [`crate::SessionContext`].
 
 use raf_cover::CoverInstance;
-use raf_model::frontcode::FrontCodedPool;
 use raf_model::sampler::PathPool;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,126 +29,53 @@ pub struct PoolKey {
 }
 
 /// One resident cache entry: the sampled pool and the weighted cover
-/// instance built from it. Both are `α`-independent, so a warm query
-/// re-runs only the solve. `Arc`-shared so answers can keep reading a
-/// pool that eviction has already dropped from the cache.
+/// instance over it. Both are `α`-independent, so a warm query re-runs
+/// only the solve. The cover is a view over the pool's `Arc`-shared
+/// arena, so the entry holds the paths once; `Arc`-shared handles let
+/// answers keep reading a pool that eviction has already dropped from
+/// the cache.
 ///
-/// Each entry carries an integrity fingerprint of its pool, stamped at
-/// construction and re-checked on every cache lookup: an entry whose
-/// stored pool no longer matches its fingerprint (the
+/// Each entry carries an integrity stamp — [`PathPool::content_hash`],
+/// a word-wise hash over the whole arena plus the walk tallies — taken
+/// at construction and re-checked on every cache lookup. An entry whose
+/// bytes no longer match the stamp (the
 /// [`CorruptCacheEntry`](crate::FaultKind::CorruptCacheEntry) fault, or
 /// a real corruption bug) is evicted and resampled instead of served.
 #[derive(Debug, Clone)]
 pub struct CachedPool {
-    /// The pool, as either the flat arena or its front-coded encoding.
-    storage: PoolStorage,
-    /// The cover instance over the pool, built once per miss.
+    pool: Arc<PathPool>,
+    /// The cover instance over the pool: a view of the same arena.
     pub cover: Arc<CoverInstance>,
-    /// FNV-1a fingerprint of the pool's summary (see
-    /// [`fingerprint`](Self::fingerprint)).
+    /// The pool's [`PathPool::content_hash`] at construction.
     checksum: u64,
 }
 
-/// How an entry holds its pool. The arena serves hits zero-copy; the
-/// front-coded form charges fewer bytes against the budget and decodes
-/// to a bit-identical arena on access (CPU traded for residency —
-/// opt-in via `ServeConfig::front_coded_cache`).
-#[derive(Debug, Clone)]
-enum PoolStorage {
-    Arena(Arc<PathPool>),
-    FrontCoded {
-        coded: Arc<FrontCodedPool>,
-        /// The walk tallies the coded form does not store, carried so
-        /// decoding reconstitutes the pool exactly.
-        total_samples: u64,
-        dangling: u64,
-        cycles: u64,
-    },
-}
-
 impl CachedPool {
-    /// Builds an entry over a freshly sampled pool/cover pair, stamping
-    /// its integrity fingerprint.
+    /// Builds an entry over a freshly sampled pool and the cover
+    /// instance built from it by `CoverInstance::from_path_pool`,
+    /// stamping the pool's content hash. A cover that does not share the
+    /// pool's arena never verifies.
     pub fn new(pool: Arc<PathPool>, cover: Arc<CoverInstance>) -> Self {
-        let checksum = Self::fingerprint(&pool);
-        CachedPool { storage: PoolStorage::Arena(pool), cover, checksum }
+        let checksum = pool.content_hash();
+        CachedPool { pool, cover, checksum }
     }
 
-    /// Builds an entry that stores the pool front-coded: the fingerprint
-    /// is stamped from the arena form, so a later
-    /// [`pool`](Self::pool) materialization that fails to reproduce it
-    /// bit-for-bit fails [`verify`](Self::verify) like any corruption.
-    pub fn new_front_coded(pool: &PathPool, cover: Arc<CoverInstance>) -> Self {
-        let checksum = Self::fingerprint(pool);
-        CachedPool {
-            storage: PoolStorage::FrontCoded {
-                coded: Arc::new(FrontCodedPool::from_pool(pool)),
-                total_samples: pool.total_samples(),
-                dangling: pool.dangling_count(),
-                cycles: pool.cycle_count(),
-            },
-            cover,
-            checksum,
-        }
-    }
-
-    /// The entry's pool in arena form: zero-copy for arena storage, a
-    /// decode for front-coded storage (bit-identical to the pool the
-    /// entry was built from).
+    /// The entry's pool.
     pub fn pool(&self) -> Arc<PathPool> {
-        match &self.storage {
-            PoolStorage::Arena(pool) => Arc::clone(pool),
-            PoolStorage::FrontCoded { coded, total_samples, dangling, cycles } => {
-                Arc::new(coded.to_pool(*total_samples, *dangling, *cycles))
-            }
-        }
+        Arc::clone(&self.pool)
     }
 
-    /// Whether this entry stores its pool front-coded.
-    pub fn is_front_coded(&self) -> bool {
-        matches!(self.storage, PoolStorage::FrontCoded { .. })
-    }
-
-    /// FNV-1a over the pool's summary statistics — cheap enough to run
-    /// on every lookup, and any fault that changes what the pool would
-    /// answer (walk count, type-1 mass, estimate, arena size) changes at
-    /// least one of them.
-    fn fingerprint(pool: &PathPool) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let words = [
-            pool.total_samples(),
-            pool.type1_count() as u64,
-            pool.pmax_estimate().to_bits(),
-            pool.heap_bytes() as u64,
-        ];
-        let mut hash = FNV_OFFSET;
-        for word in words {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        }
-        hash
-    }
-
-    /// Whether the entry's pool still matches its stamped fingerprint.
-    /// Front-coded entries materialize to check — corruption anywhere in
-    /// the coded form (or a decode that drifts from the original arena)
-    /// surfaces here exactly like arena corruption.
+    /// Whether the bytes an answer reads are still the ones stamped: the
+    /// cover views the pool's arena, and the arena and tallies hash to
+    /// the stamp. O(pool bytes).
     pub fn verify(&self) -> bool {
-        Self::fingerprint(&self.pool()) == self.checksum
+        self.cover.is_view_of(&self.pool) && self.pool.content_hash() == self.checksum
     }
 
     /// Logical bytes this entry charges against the cache budget: the
-    /// resident pool representation (arena, or the smaller front-coded
-    /// form) plus the cover instance's tables.
+    /// pool's arena, once — the cover instance is a view over it.
     pub fn heap_bytes(&self) -> usize {
-        let storage = match &self.storage {
-            PoolStorage::Arena(pool) => pool.heap_bytes(),
-            PoolStorage::FrontCoded { coded, .. } => coded.heap_bytes(),
-        };
-        storage + self.cover.heap_bytes()
+        self.pool.heap_bytes()
     }
 }
 
@@ -167,8 +93,8 @@ pub struct CacheStats {
     /// budget (the entry is passed through to the caller uncached;
     /// resident entries are untouched).
     pub rejected: u64,
-    /// Entries evicted because their integrity fingerprint no longer
-    /// matched on lookup (each also counts as a miss: the caller
+    /// Entries evicted because their content no longer matched their
+    /// integrity stamp on lookup (each also counts as a miss: the caller
     /// resamples).
     pub integrity_evictions: u64,
 }
@@ -352,7 +278,7 @@ impl PoolCache {
     }
 
     /// Integrity eviction from a maintenance walk (delta repair): drops
-    /// an entry whose fingerprint no longer matches, counted in
+    /// an entry whose content no longer matches its stamp, counted in
     /// [`CacheStats::integrity_evictions`] like a lookup-time detection
     /// but **without** a miss — no caller is waiting for this entry, so
     /// there is no lookup to account. Returns whether a key was dropped.
@@ -366,17 +292,29 @@ impl PoolCache {
     }
 
     /// Fault-injection hook ([`crate::FaultKind::CorruptCacheEntry`]):
-    /// invalidates the resident entry's integrity fingerprint in place,
-    /// so the next [`get`](Self::get) detects corruption, evicts, and
-    /// forces a resample. Returns whether the key was resident.
+    /// gives the resident entry its own copy of the arena with one node
+    /// id changed (every length, tally and the stamp kept), viewed by
+    /// both its pool and its cover — a content fault, so the next
+    /// [`get`](Self::get) detects it, evicts, and forces a resample.
+    /// Handles already handed out keep the intact arena. A pool with no
+    /// stored path has no node to change; its stamp is flipped instead.
+    /// Returns whether the key was resident.
     pub fn corrupt_entry(&mut self, key: &PoolKey) -> bool {
-        match self.entries.get_mut(key) {
-            Some(resident) => {
-                resident.entry.checksum ^= 1;
-                true
+        let Some(resident) = self.entries.get_mut(key) else {
+            return false;
+        };
+        let entry = &mut resident.entry;
+        let universe = entry.cover.universe();
+        match entry.pool.with_one_node_changed(universe) {
+            Some(pool) => {
+                let cover = CoverInstance::from_path_pool(universe, pool.clone())
+                    .expect("a changed id stays below the universe");
+                entry.pool = Arc::new(pool);
+                entry.cover = Arc::new(cover);
             }
-            None => false,
+            None => entry.checksum ^= 1,
         }
+        true
     }
 
     fn evict(&mut self, key: &PoolKey) -> bool {
@@ -417,15 +355,20 @@ mod tests {
     use raf_model::sampler::SampleRequest;
     use raf_model::FriendingInstance;
 
-    fn entry(walks: u64) -> CachedPool {
-        // A real pool/cover pair off a tiny line graph; `walks` scales
-        // nothing here (one unique path), it only differentiates keys.
+    /// A real pool off a tiny line graph, with the graph's node count;
+    /// `walks` scales nothing here (one unique path), it only
+    /// differentiates keys.
+    fn line_pool(walks: u64) -> (PathPool, usize) {
         let mut b = GraphBuilder::new();
         b.add_edges((0..4).map(|i| (i, i + 1))).unwrap();
         let g = b.build(WeightScheme::UniformByDegree).unwrap().to_csr();
         let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(4)).unwrap();
-        let pool = SampleRequest::new(walks).seed(3).run(&inst);
-        let cover = CoverInstance::from_path_pool(g.node_count(), pool.clone()).unwrap();
+        (SampleRequest::new(walks).seed(3).run(&inst), g.node_count())
+    }
+
+    fn entry(walks: u64) -> CachedPool {
+        let (pool, n) = line_pool(walks);
+        let cover = CoverInstance::from_path_pool(n, pool.clone()).unwrap();
         CachedPool::new(Arc::new(pool), Arc::new(cover))
     }
 
@@ -472,11 +415,8 @@ mod tests {
     fn byte_accounting_is_exact() {
         let e = entry(500);
         let one = e.heap_bytes();
-        assert_eq!(
-            one,
-            e.pool().heap_bytes() + e.cover.heap_bytes(),
-            "entry bytes must be the sum of its parts"
-        );
+        assert_eq!(one, e.pool().heap_bytes(), "the cover views the pool's arena: charged once");
+        assert!(e.cover.is_view_of(&e.pool()));
         let mut cache = PoolCache::new(10 * one);
         for s in 0..3 {
             cache.insert(key(s), entry(500));
@@ -583,7 +523,7 @@ mod tests {
         let e = entry(500);
         assert!(e.verify());
         let clone = e.clone();
-        assert!(clone.verify(), "fingerprints survive cloning");
+        assert!(clone.verify(), "stamps survive cloning");
     }
 
     /// A bigger entry than `entry(500)` produces, for in-place growth.
@@ -668,41 +608,45 @@ mod tests {
     }
 
     #[test]
-    fn front_coded_entry_decodes_bit_identical_and_charges_fewer_bytes() {
-        let mut b = GraphBuilder::new();
-        b.add_edges(vec![(0, 2), (2, 3), (3, 1), (0, 4), (4, 1), (2, 4), (3, 5), (5, 1), (5, 4)])
-            .unwrap();
-        let g = b.build(WeightScheme::UniformByDegree).unwrap().to_csr();
-        let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(1)).unwrap();
-        let pool = SampleRequest::new(30_000).seed(7).run(&inst);
-        let cover = Arc::new(CoverInstance::from_path_pool(g.node_count(), pool.clone()).unwrap());
-        let arena = CachedPool::new(Arc::new(pool.clone()), Arc::clone(&cover));
-        let coded = CachedPool::new_front_coded(&pool, cover);
-        assert!(!arena.is_front_coded());
-        assert!(coded.is_front_coded());
-        // The decode is the bit-identical arena — same answers, same
-        // fingerprint, so verify() passes on both forms.
-        assert_eq!(*coded.pool(), pool);
-        assert_eq!(coded.pool().pmax_estimate().to_bits(), pool.pmax_estimate().to_bits());
-        assert!(arena.verify() && coded.verify());
-        // What the budget sees differs: the coded form charges less.
-        assert!(
-            coded.heap_bytes() < arena.heap_bytes(),
-            "front-coded residency must cost fewer bytes ({} vs {})",
-            coded.heap_bytes(),
-            arena.heap_bytes()
-        );
+    fn content_corruption_keeps_every_length_and_is_caught() {
+        // The fault changes the bytes answers are computed from, not the
+        // stamp: one node id in the entry's arena, with every length and
+        // tally unchanged — so a check over summary words (walk count,
+        // type-1 mass, estimate, byte size) would pass it as clean.
+        let mut cache = PoolCache::new(usize::MAX);
+        let clean = entry(500);
+        cache.insert(key(1), clean.clone());
+        assert!(cache.corrupt_entry(&key(1)));
+        let bad = cache.peek(&key(1)).unwrap().clone();
+        let (a, b) = (clean.pool(), bad.pool());
+        assert_eq!(a.unique_count(), b.unique_count());
+        assert_eq!(a.total_samples(), b.total_samples());
+        assert_eq!(a.type1_count(), b.type1_count());
+        assert_eq!(a.pmax_estimate().to_bits(), b.pmax_estimate().to_bits());
+        assert_eq!(a.heap_bytes(), b.heap_bytes());
+        let changed: usize = (0..a.unique_count())
+            .map(|i| {
+                assert_eq!(a.path(i).len(), b.path(i).len());
+                a.path(i).iter().zip(b.path(i)).filter(|(x, y)| x != y).count()
+            })
+            .sum();
+        assert_eq!(changed, 1, "exactly one node id differs");
+        // The cover reads the corrupted arena too: the check must cover it.
+        assert!(bad.cover.iter_sets().eq(b.iter().map(|(path, _)| path)));
+        assert!(!bad.verify());
+        assert!(cache.get(&key(1)).is_none(), "a content-corrupt entry must not serve");
+        assert_eq!(cache.stats().integrity_evictions, 1);
+        // Handles given out before the fault keep the intact arena.
+        assert!(clean.verify());
     }
 
     #[test]
-    fn corruption_in_front_coded_entries_is_still_detected() {
-        let mut cache = PoolCache::new(usize::MAX);
+    fn a_cover_over_a_copy_of_the_arena_never_verifies() {
         let e = entry(500);
-        let coded = CachedPool::new_front_coded(&e.pool(), Arc::clone(&e.cover));
-        cache.insert(key(1), coded);
-        assert!(cache.get(&key(1)).is_some());
-        assert!(cache.corrupt_entry(&key(1)));
-        assert!(cache.get(&key(1)).is_none(), "corrupt coded entry must not serve");
-        assert_eq!(cache.stats().integrity_evictions, 1);
+        let (twin, n) = line_pool(500);
+        assert_eq!(twin, *e.pool(), "an equal pool, but its own arena");
+        let cover = CoverInstance::from_path_pool(n, twin).unwrap();
+        let mixed = CachedPool::new(e.pool(), Arc::new(cover));
+        assert!(!mixed.verify(), "the stamp guards the pool's arena only");
     }
 }

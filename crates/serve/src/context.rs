@@ -45,11 +45,6 @@ pub struct ServeConfig {
     /// [`ServeError::Overloaded`] instead of being allowed to stall the
     /// session.
     pub admission: AdmissionPolicy,
-    /// Store cached pools front-coded (prefix-interned) instead of as
-    /// flat arenas: entries charge fewer bytes against
-    /// [`cache_bytes`](Self::cache_bytes) and decode to a bit-identical
-    /// arena on every hit — answers are unchanged, hits cost a decode.
-    pub front_coded_cache: bool,
 }
 
 impl Default for ServeConfig {
@@ -62,7 +57,6 @@ impl Default for ServeConfig {
             cache_bytes: 256 << 20,
             deadline: DeadlinePolicy::UNLIMITED,
             admission: AdmissionPolicy::OPEN,
-            front_coded_cache: false,
         }
     }
 }
@@ -411,7 +405,7 @@ pub struct DeltaOutcome {
     /// Distinct endpoints of the effective ops.
     pub touched_nodes: usize,
     /// Resident entries repaired in place (stale walk mass re-sampled,
-    /// fingerprint re-stamped, bytes re-accounted).
+    /// content hash re-stamped, bytes re-accounted).
     pub repaired: usize,
     /// Resident entries untouched: no stored walk drew a step at a
     /// touched node.
@@ -651,11 +645,7 @@ impl<'g> SessionContext<'g> {
             }
         }
         let cover = CoverInstance::from_path_pool(self.active_csr().node_count(), pool.clone())?;
-        let entry = if self.config.front_coded_cache {
-            CachedPool::new_front_coded(&pool, Arc::new(cover))
-        } else {
-            CachedPool::new(Arc::new(pool), Arc::new(cover))
-        };
+        let entry = CachedPool::new(Arc::new(pool), Arc::new(cover));
         self.cache.insert(*key, entry.clone());
         if faults.contains(&FaultKind::CorruptCacheEntry) {
             self.cache.corrupt_entry(key);
@@ -869,7 +859,7 @@ impl<'g> SessionContext<'g> {
     /// that drew a step at a touched endpoint; only that multiplicity
     /// mass is re-sampled (on the post-delta graph, under a repair seed
     /// mixed from the pool seed and the delta serial), the entry is
-    /// re-fingerprinted, and its bytes re-accounted against the budget.
+    /// re-stamped, and its bytes re-accounted against the budget.
     /// Entries whose own `s` or `t` the delta touched — or whose pair is
     /// no longer a valid instance — are evicted; their next query
     /// resamples from the pure pool seed like any cold miss. A no-op
@@ -923,7 +913,7 @@ impl<'g> SessionContext<'g> {
         for key in keys {
             let Some(entry) = self.cache.peek(&key) else { continue };
             // Repairing a corrupted entry would launder it: the repair
-            // rebuilds the entry and restamps a fresh fingerprint, so a
+            // rebuilds the entry and restamps a fresh content hash, so a
             // pool that failed integrity would start serving as a valid
             // hit. Verify first; corruption found here is evicted like
             // lookup-time corruption and the next query resamples from
@@ -951,14 +941,9 @@ impl<'g> SessionContext<'g> {
             match repair {
                 Some(PoolRepair::Repaired { resampled: 0, .. }) => outcome.untouched += 1,
                 Some(PoolRepair::Repaired { pool, resampled, .. }) => {
-                    let rebuilt =
-                        CoverInstance::from_path_pool(node_count, pool.clone()).ok().map(|cover| {
-                            if self.config.front_coded_cache {
-                                CachedPool::new_front_coded(&pool, Arc::new(cover))
-                            } else {
-                                CachedPool::new(Arc::new(pool), Arc::new(cover))
-                            }
-                        });
+                    let rebuilt = CoverInstance::from_path_pool(node_count, pool.clone())
+                        .ok()
+                        .map(|cover| CachedPool::new(Arc::new(pool), Arc::new(cover)));
                     match rebuilt {
                         Some(fresh) => {
                             if let Some(slot) = self.cache.entry_mut(&key) {
@@ -1543,34 +1528,6 @@ mod tests {
             assert_eq!(a.invitations, b.invitations, "alpha={alpha}");
             assert_equivalent(&a, &b);
         }
-    }
-
-    #[test]
-    fn front_coded_cache_answers_bit_identically_to_arena() {
-        // Branching routes with shared tails: stored paths are long
-        // enough that front coding actually compresses (trivially short
-        // paths can cost more coded than flat).
-        let mut b = GraphBuilder::new();
-        b.add_edges(vec![(0, 2), (2, 3), (3, 1), (0, 4), (4, 1), (2, 4), (3, 5), (5, 1), (5, 4)])
-            .unwrap();
-        let csr = b.build(WeightScheme::UniformByDegree).unwrap().to_csr();
-        let arena_cfg = ServeConfig { walks: 10_000, seed: 9, ..Default::default() };
-        let coded_cfg = ServeConfig { front_coded_cache: true, ..arena_cfg.clone() };
-        let mut arena = SessionContext::new(&csr, arena_cfg);
-        let mut coded = SessionContext::new(&csr, coded_cfg);
-        for (alpha, budget) in [(0.4, 10_000), (0.4, 10_000), (0.7, 10_000), (0.3, 4_000)] {
-            let a = arena.query(&q(alpha, budget)).unwrap();
-            let c = coded.query(&q(alpha, budget)).unwrap();
-            assert_eq!(a.cache_hit, c.cache_hit);
-            assert_equivalent(&a, &c);
-        }
-        assert_eq!(arena.stats().hits, coded.stats().hits);
-        assert!(
-            coded.resident_bytes() < arena.resident_bytes(),
-            "front-coded entries must charge fewer bytes ({} vs {})",
-            coded.resident_bytes(),
-            arena.resident_bytes()
-        );
     }
 
     fn campaign(s: usize, targets: &[usize], budget: usize) -> CampaignQuery {

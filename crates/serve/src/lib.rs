@@ -8,11 +8,13 @@
 //! the walk count, **not** on `α` or on how the budget clamps. This crate
 //! supplies the amortization layer:
 //!
-//! * [`SessionContext`] holds a (possibly relabeled) [`CsrGraph`]
-//!   resident and answers [`Query`] batches;
-//! * [`PoolCache`] keeps sampled [`PathPool`]s — plus the
-//!   [`CoverInstance`](raf_cover::CoverInstance) built from each, which
-//!   is equally `α`-independent — behind an LRU with a byte-size budget,
+//! * [`SessionContext`] holds a (possibly relabeled)
+//!   [`CsrGraph`](raf_graph::CsrGraph) resident and answers [`Query`]
+//!   batches;
+//! * [`PoolCache`] keeps sampled
+//!   [`PathPool`](raf_model::sampler::PathPool)s — each with the
+//!   [`CoverInstance`](raf_cover::CoverInstance) view over its arena,
+//!   equally `α`-independent — behind an LRU with a byte-size budget,
 //!   with hit/miss/eviction counters;
 //! * [`protocol`] is the line-oriented request/response format behind
 //!   `raf serve` (batch request files or stdin/stdout, no network).
@@ -23,7 +25,8 @@
 //! caps that shed over-limit queries with a retry hint
 //! ([`ServeError::Overloaded`]), panic isolation that contains any
 //! query-pipeline panic to an [`ServeError::Internal`] response, cache
-//! integrity fingerprints that evict corrupt entries transparently, and
+//! integrity stamps over each entry's whole arena that evict corrupt
+//! entries transparently, and
 //! a deterministic [`FaultPlan`] harness (`raf serve --fault-plan`) that
 //! drives every one of those failure paths reproducibly in tests. With
 //! an empty plan and default policies, all of it is invisible: output is

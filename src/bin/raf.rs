@@ -35,8 +35,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 /// Value-less boolean flags (everything else is `--flag value`).
-const SWITCHES: &[&str] =
-    &["quick", "list-scenarios", "check-regression", "no-relabel", "front-coded-cache"];
+const SWITCHES: &[&str] = &["quick", "list-scenarios", "check-regression", "no-relabel"];
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -699,7 +698,6 @@ fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
             max_query_walks: args.get_typed("max-query-walks")?,
             max_inflight_walks: args.get_typed("max-inflight-walks")?,
         },
-        front_coded_cache: args.is_set("front-coded-cache"),
     };
     let fault_plan = match args.get("fault-plan") {
         None => FaultPlan::empty(),
@@ -1118,7 +1116,7 @@ USAGE:
             [--realizations N] [--seed N]
   raf serve --graph <edge-list> [--requests FILE] [--walks N]
             [--seed N] [--threads N] [--cache-mb N] [--epsilon E]
-            [--no-relabel] [--front-coded-cache]
+            [--no-relabel]
             [--work-budget N] [--deadline-ms N]
             [--max-query-walks N] [--max-inflight-walks N]
             [--retries N] [--fault-plan SPEC]
@@ -1140,7 +1138,10 @@ lines — one per line from --requests FILE (batch) or stdin
 same (s, t) pair share one sampled realization pool through an LRU
 cache (--cache-mb, default 256), so repeat queries that differ only in
 alpha or budget skip sampling entirely; the hit/miss summary prints to
-stderr on exit. A request line `campaign s t1,t2,... alpha budget`
+stderr on exit. Each cached pool is resident once (its cover instance
+is a view over the same arena) and its whole content is checked
+against an integrity hash on every hit: a corrupt entry is evicted and
+resampled, never served. A request line `campaign s t1,t2,... alpha budget`
 allocates one shared invitation budget across up to 16 targets by
 greedy marginal gain over the targets' pools — the same per-target
 pools single queries cache, so campaigns warm queries and vice versa —
@@ -1155,9 +1156,8 @@ to --retries (default 2) extra rounds, deterministically, before
 answering `err ... overloaded`. --fault-plan injects deterministic
 faults (`panic@Q[:W]`, `alloc@Q:BYTES`, `slow@Q[:MS]`, `corrupt@Q`,
 comma-separated; Q indexes queries in execution order) to exercise the
-recovery paths; an empty plan leaves output bit-identical.
---front-coded-cache stores cached pools front-coded (fewer resident
-bytes, a decode per access; answers stay bit-identical). A request
+recovery paths (`corrupt@Q` changes one node id in the cached pool);
+an empty plan leaves output bit-identical. A request
 line `delta <+u:v|-u:v>[,...]` mutates the resident graph in place:
 cached pools whose walks never touched a churned endpoint are kept,
 the rest are repaired by resampling exactly the invalidated walk mass

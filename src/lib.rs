@@ -57,8 +57,8 @@
 //! | [`datasets`] (`raf-datasets`) | Table I dataset stand-ins, SNAP loader, pair sampling |
 //! | [`serve`] (`raf-serve`) | amortized query serving: resident graph + LRU pool cache |
 //!
-//! See `DESIGN.md` for the system inventory and the per-experiment index,
-//! and `EXPERIMENTS.md` for paper-vs-measured results.
+//! See the README for the system inventory ("Crate map") and the
+//! experiment sweep ("Datasets & experiments").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

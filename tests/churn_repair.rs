@@ -16,6 +16,7 @@
 
 use proptest::prelude::*;
 use raf_graph::{CsrGraph, EdgeDelta, GraphBuilder, NodeId, SocialGraph, WeightScheme};
+use raf_model::intern::PathInterner;
 use raf_model::sampler::{repair_pool, PoolRepair, SampleRequest};
 use raf_model::walk_index::EdgeWalkIndex;
 use raf_model::FriendingInstance;
@@ -37,6 +38,31 @@ fn fixture() -> (SocialGraph, CsrGraph) {
 fn interior_delta(which: usize) -> EdgeDelta {
     let specs = ["-4:5", "-2:4", "-3:5,-4:5", "+2:5"];
     EdgeDelta::parse(specs[which % specs.len()]).unwrap()
+}
+
+/// Side of the square grid used by the merge property (`s` and `t` at
+/// opposite corners).
+const GRID_SIDE: usize = 4;
+
+/// The grid's interior edges: none touches a corner, so cutting any of
+/// them leaves `s` and `t` untouched, non-adjacent and connected.
+const GRID_EDGES: [(usize, usize); 8] =
+    [(1, 5), (2, 6), (4, 5), (5, 6), (5, 9), (6, 10), (9, 10), (10, 14)];
+
+fn grid() -> SocialGraph {
+    let id = |r: usize, c: usize| r * GRID_SIDE + c;
+    let mut b = GraphBuilder::new();
+    for r in 0..GRID_SIDE {
+        for c in 0..GRID_SIDE {
+            if c + 1 < GRID_SIDE {
+                b.add_edge(id(r, c), id(r, c + 1)).unwrap();
+            }
+            if r + 1 < GRID_SIDE {
+                b.add_edge(id(r, c), id(r + 1, c)).unwrap();
+            }
+        }
+    }
+    b.build(WeightScheme::UniformByDegree).unwrap()
 }
 
 proptest! {
@@ -109,6 +135,63 @@ proptest! {
         match repair_pool(&pool, &index, &touched, &post_inst, template) {
             PoolRepair::Repaired { pool: again, .. } => prop_assert_eq!(&repaired, &again),
             PoolRepair::FullResample => panic!("repair decision must be deterministic"),
+        }
+    }
+
+    /// The repair's sorted merge of kept and re-sampled paths is
+    /// byte-equal to interning both through a [`PathInterner`] and
+    /// re-canonicalizing — the order the pool assembler itself produces.
+    /// Runs on a grid, whose many distinct routes make the kept and the
+    /// re-sampled paths interleave throughout the canonical order.
+    #[test]
+    fn repair_merge_matches_interner_reference(
+        seed in 0u64..500,
+        l in 500u64..4_000,
+        cut in proptest::collection::vec(0usize..GRID_EDGES.len(), 1..4),
+    ) {
+        let social = grid();
+        let pre_csr = social.to_csr();
+        let (s, t) = (NodeId::new(0), NodeId::new(GRID_SIDE * GRID_SIDE - 1));
+        let pre_inst = FriendingInstance::new(&pre_csr, s, t).unwrap();
+        let pool = SampleRequest::new(l).seed(seed).run(&pre_inst);
+        let index = EdgeWalkIndex::build(&pool, pre_csr.node_count());
+        let spec: Vec<String> =
+            cut.iter().map(|&e| format!("-{}:{}", GRID_EDGES[e].0, GRID_EDGES[e].1)).collect();
+        let applied = EdgeDelta::parse(&spec.join(","))
+            .unwrap()
+            .apply(&social, WeightScheme::UniformByDegree)
+            .unwrap();
+        let touched = applied.touched_nodes();
+        let post_csr = applied.graph.to_csr();
+        let post_inst = FriendingInstance::new(&post_csr, s, t).unwrap();
+        let template = SampleRequest::new(0).seed(seed ^ 0x5bd1_e995);
+        let PoolRepair::Repaired { pool: repaired, .. } =
+            repair_pool(&pool, &index, &touched, &post_inst, template)
+        else {
+            panic!("interior churn must repair, not full-resample");
+        };
+
+        let invalidation = index.invalidated(&pool, &touched);
+        let stale: HashSet<u32> = invalidation.stale.iter().copied().collect();
+        let mini = template.with_walks(invalidation.mass).run(&post_inst);
+        let mut reference = PathInterner::new();
+        for (i, (path, mult)) in pool.iter().enumerate() {
+            if !stale.contains(&(i as u32)) {
+                reference.intern_copy(path, mult);
+            }
+        }
+        for (path, mult) in mini.iter() {
+            reference.intern_copy(path, mult);
+        }
+        let (nodes, offsets, multiplicity) = reference.into_canonical_parts();
+        prop_assert_eq!(repaired.arena().nodes(), &nodes[..]);
+        prop_assert_eq!(repaired.unique_count() + 1, offsets.len());
+        prop_assert_eq!(repaired.arena().multiplicities(), &multiplicity[..]);
+        for i in 0..repaired.unique_count() {
+            prop_assert_eq!(
+                repaired.path(i),
+                &nodes[offsets[i] as usize..offsets[i + 1] as usize]
+            );
         }
     }
 
